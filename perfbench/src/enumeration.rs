@@ -24,8 +24,8 @@ const SUITE_CHECKSUM: u64 = 0xd72e_5811_8ca9_c4f3;
 
 /// Set-up repetitions; set-up time is their median.
 const SETUP_REPS: usize = 15;
-/// Fewest solves a run makes, whatever `--seconds` says.
-const MIN_SOLVES: usize = 3;
+/// Fewest passes over every input a run makes, whatever `--seconds` says.
+const MIN_PASSES: usize = 3;
 
 /// One generated graph in relabelled ids, with the k values it is solved at.
 struct Input {
@@ -37,8 +37,17 @@ struct Input {
 }
 
 impl Input {
-    fn new<G: GraphView>(name: &'static str, g: &G, ks: Vec<u32>, seed: u64) -> Self {
-        let relabel = Relabel::seeded(g.num_vertices(), derive_seed(seed, name));
+    fn new<G: GraphView>(
+        name: &'static str,
+        g: &G,
+        ks: Vec<u32>,
+        seed: u64,
+        variant: usize,
+    ) -> Self {
+        let relabel = Relabel::seeded(
+            g.num_vertices(),
+            derive_seed(seed, &format!("{name}#{variant}")),
+        );
         Input {
             name,
             n: g.num_vertices(),
@@ -49,31 +58,78 @@ impl Input {
     }
 }
 
+/// A workload's inputs: every graph under each of `variants` seeded
+/// relabellings, variant by variant. A solve of one variant enumerates each
+/// of its graphs at each k; the run solves every variant in turn, so its
+/// solve time averages over that many id orders instead of resting on one.
+struct Inputs {
+    inputs: Vec<Input>,
+    variants: usize,
+}
+
+impl Inputs {
+    fn new<G: GraphView>(
+        graphs: &[(&'static str, G, Vec<u32>)],
+        variants: usize,
+        seed: u64,
+    ) -> Self {
+        let inputs = (0..variants)
+            .flat_map(|v| {
+                graphs
+                    .iter()
+                    .map(move |(name, g, ks)| Input::new(name, g, ks.clone(), seed, v))
+            })
+            .collect();
+        Inputs { inputs, variants }
+    }
+
+    /// The inputs of each variant.
+    fn by_variant(&self) -> std::slice::Chunks<'_, Input> {
+        self.inputs.chunks(self.inputs.len() / self.variants)
+    }
+
+    /// (input, k) jobs of one variant.
+    fn jobs_per_variant(&self) -> usize {
+        self.inputs.iter().map(|i| i.ks.len()).sum::<usize>() / self.variants
+    }
+}
+
 /// The enumerator configuration every workload solves with: VCCE*, one
 /// thread (the host has one effective core).
 pub fn options() -> KvccOptions {
     KvccOptions::default()
 }
 
-fn planted10k_inputs(seed: u64) -> Vec<Input> {
+/// Relabellings of the planted-10k graph per run: its probe count, and with
+/// it the solve time, moves by up to a third from one relabelling to the
+/// next (29–39 probes), so a run averages over eight.
+const PLANTED10K_VARIANTS: usize = 8;
+
+fn planted10k_inputs(seed: u64) -> Inputs {
     let config = planted10k_config();
     let g = planted_communities(&config).graph;
-    vec![Input::new("planted10k", &g, vec![config.k as u32], seed)]
+    Inputs::new(
+        &[("planted10k", g, vec![config.k as u32])],
+        PLANTED10K_VARIANTS,
+        seed,
+    )
 }
 
-fn suite_inputs(seed: u64) -> Vec<Input> {
+/// The suite's 30 (graph, k) jobs already average over six graphs, and its
+/// probe count stays within 0.3% across relabellings: one variant.
+fn suite_inputs(seed: u64) -> Inputs {
     let scale = SuiteScale::Small;
-    SuiteDataset::efficiency_subset()
+    let graphs: Vec<_> = SuiteDataset::efficiency_subset()
         .into_iter()
         .map(|d| {
-            Input::new(
+            (
                 d.name(),
-                &d.generate(scale),
+                d.generate(scale),
                 scale.efficiency_k_values().to_vec(),
-                seed,
             )
         })
-        .collect()
+        .collect();
+    Inputs::new(&graphs, 1, seed)
 }
 
 /// Set-up: CSR construction of every input, repeated; median seconds.
@@ -87,7 +143,7 @@ fn setup(inputs: &[Input]) -> Result<(Vec<CsrGraph>, f64), String> {
     Ok((csrs.map_err(|e| format!("CSR construction: {e}"))?, secs))
 }
 
-/// One solve: every input at every k. Returns the results in (input, k)
+/// One pass: every input at every k. Returns the results in (input, k)
 /// order and the seconds of each enumeration.
 fn solve(inputs: &[Input], csrs: &[CsrGraph]) -> (Vec<Result<KvccResult, String>>, Vec<f64>) {
     let mut results = Vec::new();
@@ -103,7 +159,7 @@ fn solve(inputs: &[Input], csrs: &[CsrGraph]) -> (Vec<Result<KvccResult, String>
     (results, times)
 }
 
-/// Checksum of one solve's results in generator ids.
+/// Checksum of one variant's results in generator ids.
 fn solve_checksum(inputs: &[Input], results: &[KvccResult]) -> u64 {
     let mut h = Fnv::default();
     let mut it = results.iter();
@@ -116,15 +172,25 @@ fn solve_checksum(inputs: &[Input], results: &[KvccResult]) -> u64 {
     h.0
 }
 
-/// The untraced loop shared by the enumeration workloads: solves until the
-/// deadline, checking every result against the first solve's.
+/// The untraced loop shared by the enumeration workloads: passes over
+/// every input until the deadline, checking every result against the first
+/// pass's.
 pub struct SolveLoop {
-    pub solves: Samples,
+    /// Seconds of each (input, k) enumeration, one bag per job.
+    pub jobs: Vec<Samples>,
+    /// Every enumeration, in microseconds.
     pub ops: Samples,
+    pub passes: usize,
     pub attempted: u64,
     pub failed: u64,
-    pub wall_s: f64,
     pub reference: Vec<KvccResult>,
+}
+
+impl SolveLoop {
+    /// The median seconds of each of `jobs`, summed.
+    fn median_sum(jobs: &[Samples]) -> f64 {
+        jobs.iter().map(Samples::median).sum()
+    }
 }
 
 fn solve_loop(
@@ -134,19 +200,20 @@ fn solve_loop(
     cfg: &RunConfig,
 ) -> Result<SolveLoop, String> {
     let deadline = cfg.deadline(share);
-    let start = Instant::now();
     let mut out = SolveLoop {
-        solves: Samples::new(),
+        jobs: Vec::new(),
         ops: Samples::new(),
+        passes: 0,
         attempted: 0,
         failed: 0,
-        wall_s: 0.0,
         reference: Vec::new(),
     };
-    while out.solves.len() < MIN_SOLVES || Instant::now() < deadline {
+    while out.passes < MIN_PASSES || Instant::now() < deadline {
         let (results, times) = solve(inputs, csrs);
-        out.solves.push(times.iter().sum());
-        for t in &times {
+        out.passes += 1;
+        out.jobs.resize_with(times.len(), Samples::new);
+        for (job, &t) in out.jobs.iter_mut().zip(&times) {
+            job.push(t);
             out.ops.push(t * 1e6);
         }
         out.attempted += results.len() as u64;
@@ -164,7 +231,6 @@ fn solve_loop(
             }
         }
     }
-    out.wall_s = secs_since(start);
     Ok(out)
 }
 
@@ -302,33 +368,51 @@ fn solve_side_costs(inputs: &[(u32, Vec<CsrGraph>)]) -> SideCosts {
 
 fn run_enum(
     cfg: &RunConfig,
-    inputs: Vec<Input>,
+    inputs: Inputs,
     expected: u64,
     verify: bool,
 ) -> Result<Outcome, String> {
-    let (csrs, setup_s) = setup(&inputs)?;
+    let (csrs, setup_s) = setup(&inputs.inputs)?;
     let mut out = Outcome::new(cfg.trace);
     println!(
-        "setup: {} graph(s), {} vertices, {} edges, CSR construction {setup_s:.4}s (median of {SETUP_REPS})",
-        inputs.len(),
+        "setup: {} graph(s) in {} relabelling(s), {} vertices, {} edges, CSR construction {setup_s:.4}s (median of {SETUP_REPS})",
+        inputs.inputs.len(),
+        inputs.variants,
         csrs.iter().map(|g| g.num_vertices()).sum::<usize>(),
         csrs.iter().map(|g| g.num_edges()).sum::<usize>(),
     );
-    // End-to-end runs spend the whole budget untraced; traced runs split it
-    // between untraced solves (for the overhead) and traced replays.
-    let untraced = solve_loop(&inputs, &csrs, if cfg.trace { 0.3 } else { 1.0 }, cfg)?;
-    let checksum = solve_checksum(&inputs, &untraced.reference);
+    // End-to-end runs spend the whole budget untraced on every variant;
+    // traced runs split it between untraced solves of the first variant
+    // (for the overhead) and traced replays of it.
+    let variants = if cfg.trace { 1 } else { inputs.variants };
+    let solved = inputs.inputs.len() / inputs.variants * variants;
+    let untraced = solve_loop(
+        &inputs.inputs[..solved],
+        &csrs[..solved],
+        if cfg.trace { 0.3 } else { 1.0 },
+        cfg,
+    )?;
+    let per_variant = inputs.jobs_per_variant();
+    // A solve is one variant's jobs: each job's median, summed over the
+    // variant, averaged over the variants.
+    let solve_s = SolveLoop::median_sum(&untraced.jobs) / variants as f64;
     println!(
-        "{}; {}",
-        untraced.solves.describe("solve", "s"),
+        "solve: {solve_s:.4}s over {} pass(es) of {variants} variant(s) ({per_variant} enumeration(s) per solve, each at its median); {}",
+        untraced.passes,
         untraced.ops.describe("enumeration", "us")
     );
-    println!("checksum (generator ids): {checksum:#018x}");
-    if checksum != expected {
-        return Err(format!(
-            "component checksum {checksum:#018x} differs from the reference {expected:#018x}"
-        ));
+    for (variant, results) in inputs
+        .by_variant()
+        .zip(untraced.reference.chunks(per_variant))
+    {
+        let checksum = solve_checksum(variant, results);
+        if checksum != expected {
+            return Err(format!(
+                "component checksum {checksum:#018x} differs from the reference {expected:#018x}"
+            ));
+        }
     }
+    println!("checksum (generator ids): {expected:#018x} in {variants} relabelling(s)");
     if untraced.failed > 0 {
         return Err(format!(
             "{} of {} enumerations failed or disagreed with the first solve",
@@ -338,7 +422,7 @@ fn run_enum(
     if verify {
         let start = Instant::now();
         let mut it = untraced.reference.iter();
-        for (input, csr) in inputs.iter().zip(&csrs) {
+        for (input, csr) in inputs.inputs[..solved].iter().zip(&csrs) {
             for &k in &input.ks {
                 let r = it.next().expect("one result per (input, k)");
                 verify_kvccs(csr, r, false)
@@ -350,23 +434,20 @@ fn run_enum(
     out.attempted = untraced.attempted;
     out.failed = untraced.failed;
     out.set("setup_s", setup_s);
-    out.set("solve_s", untraced.solves.median());
+    out.set("solve_s", solve_s);
     out.set("op_p50_us", untraced.ops.median());
-    out.set("ops_per_s", untraced.ops.len() as f64 / untraced.wall_s);
+    out.set("ops_per_s", per_variant as f64 / solve_s);
     out.set("ok_frac", 1.0 - out.failed as f64 / out.attempted as f64);
 
     if cfg.trace {
-        let jobs: Vec<(&CsrGraph, u32)> = inputs
+        // The traced run replays the first variant, the one the untraced
+        // loop above solved: per-layer numbers are those of one solve.
+        let jobs: Vec<(&CsrGraph, u32)> = inputs.inputs[..solved]
             .iter()
             .zip(&csrs)
             .flat_map(|(i, g)| i.ks.iter().map(move |&k| (g, k)))
             .collect();
-        let traced = traced_solves(
-            &jobs,
-            &untraced.reference,
-            cfg.deadline(0.5),
-            untraced.solves.median(),
-        )?;
+        let traced = traced_solves(&jobs, &untraced.reference, cfg.deadline(0.5), solve_s)?;
         out.attempted += (traced.summaries.len() * jobs.len()) as u64;
         traced.report(&mut out);
     }
